@@ -156,6 +156,27 @@ type result = {
   classifier_accuracy : float;
 }
 
+(* Per-feature z-scores from the training rows' mean and deviation,
+   applied to the training and the held-out rows alike. *)
+let standardise ~train ~test =
+  let m = float_of_int (Array.length train) in
+  let stat f =
+    let mu = Array.fold_left (fun a v -> a +. v.(f)) 0. train /. m in
+    let var =
+      Array.fold_left (fun a v -> a +. ((v.(f) -. mu) ** 2.)) 0. train /. m
+    in
+    (mu, Float.max 1e-9 (Float.sqrt var))
+  in
+  let stats = Array.init (Array.length train.(0)) stat in
+  let z v =
+    Array.mapi
+      (fun f x ->
+        let mu, sd = stats.(f) in
+        (x -. mu) /. sd)
+      v
+  in
+  (Array.map z train, Array.map z test)
+
 let run ?(seed = 7) ?(secret_len = 16) ?(trials = 1) ?(tries = 8)
     ?(measurements = 400) ?(oracle = Timing) ?(jobs = 1)
     ?(timing = Timer_attack.default_config.Timer_attack.timing) () =
@@ -258,7 +279,8 @@ let run ?(seed = 7) ?(secret_len = 16) ?(trials = 1) ?(tries = 8)
           Leak_audit.Estimator.observe est ~bucket ~delta)
         s;
       (* Balanced classifier samples: the true candidate against the
-         best-scoring wrong one, features (z-score, rank). *)
+         best-scoring wrong one, features (z-score, rank, gap to the best
+         other candidate — negative only for the argmin). *)
       let ci = String.index alphabet secret.[i] in
       let wrong =
         let w = ref (if ci = 0 then 1 else 0) in
@@ -267,7 +289,12 @@ let run ?(seed = 7) ?(secret_len = 16) ?(trials = 1) ?(tries = 8)
           s;
         !w
       in
-      let feat c = [| (s.(c) -. mean) /. std; rank c |] in
+      let gap c =
+        let m = ref infinity in
+        Array.iteri (fun j v -> if j <> c && v < !m then m := v) s;
+        (s.(c) -. !m) /. std
+      in
+      let feat c = [| (s.(c) -. mean) /. std; rank c; gap c |] in
       samples := (feat ci, 1) :: (feat wrong, 0) :: !samples;
       (* Chained recovery: the attacker only has their own prefix; while
          it matches the true prefix the probe cache makes this free. *)
@@ -293,17 +320,34 @@ let run ?(seed = 7) ?(secret_len = 16) ?(trials = 1) ?(tries = 8)
   (* A learned match/non-match separator over the score features, the
      role the DNN plays in the paper's noisy-oracle settings: held-out
      accuracy is the quality of the timing side channel as a binary
-     classifier. *)
+     classifier.  Two-fold cross-validation: each half is scored by a
+     net trained 20 epochs on the other, so every sample is held out
+     once for 40 training epochs in all; a small held-out set leaves
+     the score at the mercy of the split. *)
   let classifier_accuracy =
     let ds = Dataset.make (List.rev !samples) in
     let ds = Dataset.shuffle (Prng.create ~seed:(seed + 1) ()) ds in
-    let train, test = Dataset.split ds ~train_fraction:0.6 in
-    if Array.length train.Dataset.x = 0 || Array.length test.Dataset.x = 0
-    then 0.
+    let n = Array.length ds.Dataset.y in
+    if n < 2 then 0.
     else begin
-      let mlp = Mlp.create ~seed:(seed + 2) ~layers:[ 2; 8; 2 ] () in
-      Mlp.train ~epochs:40 mlp ~x:train.Dataset.x ~y:train.Dataset.y;
-      Mlp.accuracy mlp ~x:test.Dataset.x ~y:test.Dataset.y
+      let correct = ref 0 in
+      for fold = 0 to 1 do
+        let part held =
+          let idx =
+            List.filter (fun i -> (i mod 2 = fold) = held) (List.init n Fun.id)
+          in
+          ( Array.of_list (List.map (fun i -> ds.Dataset.x.(i)) idx),
+            Array.of_list (List.map (fun i -> ds.Dataset.y.(i)) idx) )
+        in
+        let x, y = part false and tx, ty = part true in
+        let x, tx = standardise ~train:x ~test:tx in
+        let mlp = Mlp.create ~seed:(seed + 2) ~layers:[ 3; 8; 2 ] () in
+        Mlp.train ~epochs:20 mlp ~x ~y;
+        Array.iteri
+          (fun i xi -> if Mlp.predict mlp xi = ty.(i) then incr correct)
+          tx
+      done;
+      float_of_int !correct /. float_of_int n
     end
   in
   let r =

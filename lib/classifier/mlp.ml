@@ -61,13 +61,18 @@ let n_inputs t = Array.length t.layers.(0).weights.(0)
 let n_classes t =
   Array.length t.layers.(Array.length t.layers - 1).biases
 
+(* Plain loops, so [acc] stays an unboxed local instead of a float ref
+   captured (and boxed) by a closure.  Summation order (bias, then
+   i = 0..n-1) is fixed: it is what the trained bits depend on. *)
 let affine_into layer x out =
-  Array.iteri
-    (fun o row ->
-      let acc = ref layer.biases.(o) in
-      Array.iteri (fun i w -> acc := !acc +. (w *. x.(i))) row;
-      out.(o) <- !acc)
-    layer.weights
+  for o = 0 to Array.length layer.weights - 1 do
+    let row = layer.weights.(o) in
+    let acc = ref layer.biases.(o) in
+    for i = 0 to Array.length row - 1 do
+      acc := !acc +. (row.(i) *. x.(i))
+    done;
+    out.(o) <- !acc
+  done
 
 let relu_in_place v =
   for i = 0 to Array.length v - 1 do
@@ -129,6 +134,16 @@ let accuracy t ~x ~y =
     float_of_int !ok /. float_of_int n
   end
 
+(* Momentum on a dead ReLU path only decays ([v <- 0.9 v]), and once
+   subnormal it never reaches zero: [0.9 *. v] rounds back to [v] for the
+   smallest subnormals, and every later update of that entry takes the
+   CPU's slow subnormal path.  Flushing [|v| < min_float] to zero keeps
+   the trained bits: adding such a [v] to a weight or gradient of
+   magnitude >= 2^-968 rounds it away (it is below half an ulp), so the
+   flush can only matter for entries that are themselves within 2^-968
+   of zero. *)
+let flush_subnormal v = if Float.abs v < Float.min_float then 0.0 else v
+
 let train_sample t ~learning_rate ~momentum x label =
   let n = Array.length t.layers in
   let acts = forward_acts t x in
@@ -161,11 +176,19 @@ let train_sample t ~learning_rate ~momentum x label =
       let row = layer.weights.(o) and vel = layer.w_vel.(o) in
       let dv = d.(o) in
       for i = 0 to Array.length row - 1 do
-        vel.(i) <- (momentum *. vel.(i)) -. (learning_rate *. dv *. input.(i));
-        row.(i) <- row.(i) +. vel.(i)
+        let v =
+          flush_subnormal
+            ((momentum *. vel.(i)) -. (learning_rate *. dv *. input.(i)))
+        in
+        vel.(i) <- v;
+        row.(i) <- row.(i) +. v
       done;
-      layer.b_vel.(o) <- (momentum *. layer.b_vel.(o)) -. (learning_rate *. dv);
-      layer.biases.(o) <- layer.biases.(o) +. layer.b_vel.(o)
+      let v =
+        flush_subnormal
+          ((momentum *. layer.b_vel.(o)) -. (learning_rate *. dv))
+      in
+      layer.b_vel.(o) <- v;
+      layer.biases.(o) <- layer.biases.(o) +. v
     done
   done
 
@@ -185,17 +208,29 @@ let train ?(epochs = 30) ?(learning_rate = 0.01) ?(momentum = 0.9) t ~x ~y =
       ]
   @@ fun () ->
   let progress = Obs.Progress.create ~total:epochs ~label:"mlp.train" () in
-  let order = Array.init (Array.length x) (fun i -> i) in
+  let n = Array.length x in
+  let order = Array.init n (fun i -> i) in
+  (* [train_sample]'s forward pass leaves the sample's softmax here;
+     backprop writes only [t.deltas], so it is still readable after. *)
+  let probs = t.acts.(Array.length t.layers) in
   for _ = 1 to epochs do
     Prng.shuffle t.prng order;
-    Array.iter
-      (fun i -> train_sample t ~learning_rate ~momentum x.(i) y.(i))
-      order;
+    let obs = Obs.enabled () in
+    let epoch_loss = ref 0.0 in
+    for k = 0 to n - 1 do
+      let i = order.(k) in
+      train_sample t ~learning_rate ~momentum x.(i) y.(i);
+      if obs then
+        epoch_loss := !epoch_loss -. log (Float.max 1e-12 probs.(y.(i)))
+    done;
     Obs.Metrics.incr m_epochs;
-    Obs.Metrics.add m_samples (Array.length x);
-    (* [loss] only runs forward passes (no PRNG draws), so sampling it
-       for telemetry cannot perturb the trained weights. *)
-    if Obs.enabled () then Obs.Metrics.set_gauge g_epoch_loss (loss t ~x ~y);
+    Obs.Metrics.add m_samples n;
+    (* Running training loss: each sample's cross-entropy just before
+       its own update, averaged over the epoch.  Read off the forward
+       pass training already ran, so telemetry costs no extra pass and
+       cannot perturb the trained weights. *)
+    if obs && n > 0 then
+      Obs.Metrics.set_gauge g_epoch_loss (!epoch_loss /. float_of_int n);
     Obs.Progress.step progress
   done;
   Obs.Progress.finish progress

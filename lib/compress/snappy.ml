@@ -46,7 +46,12 @@ let emit_literals buf src ~anchor ~len =
     let v = len - 1 in
     if v < 60 then put_byte buf (v lsl 2)
     else begin
-      let n_bytes = if v < 1 lsl 8 then 1 else if v < 1 lsl 16 then 2 else 3 in
+      let n_bytes =
+        if v < 1 lsl 8 then 1
+        else if v < 1 lsl 16 then 2
+        else if v < 1 lsl 24 then 3
+        else 4
+      in
       put_byte buf ((59 + n_bytes) lsl 2);
       for k = 0 to n_bytes - 1 do
         put_byte buf ((v lsr (8 * k)) land 0xff)

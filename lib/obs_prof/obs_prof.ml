@@ -49,6 +49,7 @@ type state = {
   mutable total_samples : int;
   mutable anchor : int;
   mutable last_stat : Gc.stat;
+  mutable last_minor_words : float;
   mutable last_ns : int;
   mutable start_ns : int;
   (* cumulative runtime deltas since start/reset *)
@@ -72,6 +73,7 @@ let state =
     total_samples = 0;
     anchor = 0;
     last_stat = Gc.quick_stat ();
+    last_minor_words = Gc.minor_words ();
     last_ns = 0;
     start_ns = 0;
     d_minor = 0;
@@ -107,13 +109,28 @@ let bump tbl key n =
   | Some r -> r := !r + n
   | None -> Hashtbl.replace tbl key (ref n)
 
+let run_flag = Atomic.make false
+
+(* Minor-heap words allocated so far.  On OCaml 5.1 [Gc.quick_stat]
+   refreshes [minor_words] only at minor collections, so a window with no
+   minor GC in it would read 0; [Gc.minor_words ()] is exact, but counts
+   the calling domain only.  Synchronous samples run on the profiled
+   domain and take the exact count.  The ticker runs on a domain of its
+   own, so its ticks, and any sample taken while it runs, use the
+   cross-domain [quick_stat] figure (exact up to each domain's last minor
+   GC); [start] and [stop] re-baseline when the source changes. *)
+let minor_words_now ~ticker (st : Gc.stat) =
+  if ticker || Atomic.get run_flag then st.Gc.minor_words
+  else Gc.minor_words ()
+
 (* One sampler wakeup: read every slot, fold the non-idle paths, then
    fold a [Gc.quick_stat] delta into the runtime plane.  Caller does NOT
    hold [state.mu]. *)
-let tick () =
+let tick ~ticker =
   let paths = Obs.Prof.current_paths () in
   let now = Obs.now_ns () in
   let st = Gc.quick_stat () in
+  let minor_w = minor_words_now ~ticker st in
   Mutex.lock state.mu;
   state.ticks <- state.ticks + 1;
   Obs.Metrics.incr m_ticks;
@@ -131,7 +148,7 @@ let tick () =
   let dminor = st.Gc.minor_collections - prev.Gc.minor_collections in
   let dmajor = st.Gc.major_collections - prev.Gc.major_collections in
   let dcompact = st.Gc.compactions - prev.Gc.compactions in
-  let dminor_w = st.Gc.minor_words -. prev.Gc.minor_words in
+  let dminor_w = minor_w -. state.last_minor_words in
   let dmajor_w = st.Gc.major_words -. prev.Gc.major_words in
   let dpromoted = st.Gc.promoted_words -. prev.Gc.promoted_words in
   let alloc_w = dminor_w +. dmajor_w -. dpromoted in
@@ -171,10 +188,11 @@ let tick () =
        acc.s_alloc_words <- acc.s_alloc_words +. Float.max 0. alloc_w
      end);
   state.last_stat <- st;
+  state.last_minor_words <- minor_w;
   state.last_ns <- now;
   Mutex.unlock state.mu
 
-let sample_once () = tick ()
+let sample_once () = tick ~ticker:false
 
 let reset () =
   Mutex.lock state.mu;
@@ -188,7 +206,9 @@ let reset () =
   state.d_minor_words <- 0.;
   state.d_major_words <- 0.;
   state.d_promoted <- 0.;
-  state.last_stat <- Gc.quick_stat ();
+  let st = Gc.quick_stat () in
+  state.last_stat <- st;
+  state.last_minor_words <- minor_words_now ~ticker:false st;
   state.last_ns <- Obs.now_ns ();
   state.start_ns <- state.last_ns;
   Mutex.unlock state.mu
@@ -201,13 +221,12 @@ let reset () =
    [Gc.quick_stat] aggregates allocation across domains, so the runtime
    plane still sees the profiled workload.  [Thread.delay] inside the
    ticker domain sleeps just that domain. *)
-let run_flag = Atomic.make false
 let ticker : unit Domain.t option ref = ref None
 let lifecycle_mu = Mutex.create ()
 
 let loop interval_s () =
   while Atomic.get run_flag do
-    tick ();
+    tick ~ticker:true;
     Thread.delay interval_s
   done
 
@@ -215,7 +234,9 @@ let start ?(interval_us = 1000) () =
   Mutex.lock lifecycle_mu;
   (if not (Atomic.get run_flag) then begin
      state.anchor <- Obs.Prof.slot ();
-     state.last_stat <- Gc.quick_stat ();
+     let st = Gc.quick_stat () in
+     state.last_stat <- st;
+     state.last_minor_words <- st.Gc.minor_words;
      state.last_ns <- Obs.now_ns ();
      if state.start_ns = 0 then state.start_ns <- state.last_ns;
      Obs.Prof.set_publishing true;
@@ -231,6 +252,9 @@ let stop () =
      Atomic.set run_flag false;
      (match !ticker with Some d -> Domain.join d | None -> ());
      ticker := None;
+     Mutex.lock state.mu;
+     state.last_minor_words <- Gc.minor_words ();
+     Mutex.unlock state.mu;
      Obs.Prof.set_publishing false
    end);
   Mutex.unlock lifecycle_mu

@@ -9,7 +9,10 @@
     on or off at any [--jobs].
 
     The same ticker derives a runtime telemetry plane from
-    [Gc.quick_stat] deltas — minor/major collections, promoted words,
+    [Gc.quick_stat] deltas (minor words from the exact
+    [Gc.minor_words ()] of the calling domain when folded by
+    {!sample_once} with the ticker stopped) — minor/major collections,
+    promoted words,
     heap size, allocation rate — published as [runtime.*] gauges and
     counters through {!Obs.Metrics} (and therefore visible on a serve
     daemon's [/metrics] endpoints), plus per-top-level-span allocation

@@ -589,6 +589,19 @@ let test_memcomp_timing_recovery () =
   Alcotest.(check bool) "channel carries information" true
     (r.Memcomp.capacity_bits > 0.)
 
+(* Seeds on which the old single 60/40 split (13 held-out samples) scored
+   at or below chance; cross-validation must beat it on each. *)
+let test_memcomp_classifier_beats_chance () =
+  List.iter
+    (fun seed ->
+      let r = Memcomp.run ~seed ~oracle:Memcomp.Timing () in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: accuracy %.3f > 0.5" seed
+           r.Memcomp.classifier_accuracy)
+        true
+        (r.Memcomp.classifier_accuracy > 0.5))
+    [ 95; 96; 102; 147; 200 ]
+
 let test_memcomp_jobs_invariant () =
   (* Probe noise is keyed by probe coordinates, not a shared stream, so
      the whole result record is identical at any fan-out. *)
@@ -668,6 +681,8 @@ let suite =
         test_memcomp_ratio_recovery;
       Alcotest.test_case "memcomp timing recovery" `Quick
         test_memcomp_timing_recovery;
+      Alcotest.test_case "memcomp classifier beats chance" `Slow
+        test_memcomp_classifier_beats_chance;
       Alcotest.test_case "memcomp jobs invariant" `Quick
         test_memcomp_jobs_invariant;
       Alcotest.test_case "memcomp seed changes secret" `Quick

@@ -66,6 +66,86 @@ let test_training_reduces_loss () =
   let after = Mlp.loss m ~x:ds.Dataset.x ~y:ds.Dataset.y in
   Alcotest.(check bool) "loss decreased" true (after < before)
 
+(* Inputs are positive and the learning rate is high, so hidden units die
+   mid-training: their momentum then only decays, and the subnormal flush
+   in [train_sample] fires (about 200 times on this set). *)
+let dead_relu_set () =
+  let prng = Prng.create ~seed:11 () in
+  let x =
+    Array.init 96 (fun i ->
+        Array.init 6 (fun d ->
+            Prng.float prng +. float_of_int ((i + d) mod 3)))
+  in
+  (x, Array.init 96 (fun i -> i mod 3))
+
+let train_dead_relu_net () =
+  let x, y = dead_relu_set () in
+  let m = Mlp.create ~seed:12 ~layers:[ 6; 24; 3 ] () in
+  Mlp.train ~epochs:90 ~learning_rate:0.1 m ~x ~y;
+  m
+
+let forward_digest m x =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun xi -> Array.iter (fun p -> Printf.bprintf b "%h\n" p) (Mlp.forward m xi))
+    x;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Pins the trained bits: captured before the subnormal flush and the
+   loop-based affine kernel went in, which must not change any of them. *)
+let test_trained_bits_pinned () =
+  let x, _ = dead_relu_set () in
+  Alcotest.(check string) "forward digest" "92442f496b4895a01ba9336ecc9a75d9"
+    (forward_digest (train_dead_relu_net ()) x)
+
+module Obs = Zipchannel_obs.Obs
+
+let with_obs f =
+  Obs.Metrics.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.Metrics.reset ())
+    f
+
+let test_obs_does_not_perturb_training () =
+  let x, _ = dead_relu_set () in
+  let off = train_dead_relu_net () in
+  let on = with_obs train_dead_relu_net in
+  Alcotest.(check (array int)) "same predictions"
+    (Array.map (Mlp.predict off) x)
+    (Array.map (Mlp.predict on) x);
+  Alcotest.(check string) "same bits" (forward_digest off x)
+    (forward_digest on x)
+
+(* [classifier.epoch_loss] is the mean over the epoch of each sample's
+   loss just before its own update.  Replays the epoch one sample at a
+   time on a twin net (weights do not depend on the shuffle's PRNG
+   draws) for both possible orders; the gauge must match one exactly. *)
+let test_epoch_loss_is_running_mean () =
+  let x = [| [| 0.5; -1.0; 2.0 |]; [| -0.3; 0.8; 0.1 |] |] in
+  let y = [| 0; 1 |] in
+  let make () = Mlp.create ~seed:3 ~layers:[ 3; 4; 2 ] () in
+  let gauge =
+    with_obs (fun () ->
+        Mlp.train ~epochs:1 (make ()) ~x ~y;
+        List.assoc "classifier.epoch_loss" (Obs.Metrics.snapshot ()).Obs.Metrics.gauges)
+  in
+  let replay first second =
+    let m = make () in
+    let l1 = Mlp.loss m ~x:[| x.(first) |] ~y:[| y.(first) |] in
+    Mlp.train ~epochs:1 m ~x:[| x.(first) |] ~y:[| y.(first) |];
+    let l2 = Mlp.loss m ~x:[| x.(second) |] ~y:[| y.(second) |] in
+    (l1 +. l2) /. 2.0
+  in
+  let a = replay 0 1 and b = replay 1 0 in
+  Alcotest.(check bool) "orders differ" true (a <> b);
+  Alcotest.(check bool)
+    (Printf.sprintf "gauge %h is %h or %h" gauge a b)
+    true
+    (gauge = a || gauge = b)
+
 let test_dataset_split () =
   let ds = Dataset.make (List.init 10 (fun i -> ([| float_of_int i |], i))) in
   let a, b = Dataset.split ds ~train_fraction:0.7 in
@@ -116,6 +196,11 @@ let suite =
       Alcotest.test_case "deterministic init" `Quick test_deterministic_init;
       Alcotest.test_case "learns blobs" `Quick test_learns_separable_blobs;
       Alcotest.test_case "loss decreases" `Quick test_training_reduces_loss;
+      Alcotest.test_case "trained bits pinned" `Quick test_trained_bits_pinned;
+      Alcotest.test_case "obs does not perturb training" `Quick
+        test_obs_does_not_perturb_training;
+      Alcotest.test_case "epoch loss is running mean" `Quick
+        test_epoch_loss_is_running_mean;
       Alcotest.test_case "dataset split" `Quick test_dataset_split;
       Alcotest.test_case "dataset shuffle" `Quick test_dataset_shuffle_preserves_pairs;
       Alcotest.test_case "features of bools" `Quick test_features_of_bools;

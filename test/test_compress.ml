@@ -850,6 +850,31 @@ let qcheck_lz4 =
       let input = Prng.bytes t (Prng.int t 3_000) in
       Bytes.equal input (Lz4.decompress (Lz4.compress input)))
 
+(* A literal run longer than 16 MiB: Snappy needs its 4-byte literal
+   length (tag 63), LZ4 a ~70k-byte run of 255 extension bytes.  Byte
+   [4i+d] is [d] in the top two bits over 6-bit digit [d] of [i], so no
+   4-byte substring repeats anywhere and each encoder emits a single
+   literal run. *)
+let test_huge_literal_run () =
+  let n = (16 * 1024 * 1024) + 4096 in
+  let input =
+    Bytes.init n (fun p ->
+        let i = p / 4 and d = p mod 4 in
+        Char.chr ((d lsl 6) lor ((i lsr (6 * d)) land 63)))
+  in
+  let snappy = Snappy.compress input in
+  (* 4 varint bytes of [n], then the one literal's tag *)
+  Alcotest.(check int) "snappy: one 4-byte-length literal" 0xfc
+    (Bytes.get_uint8 snappy 4);
+  Alcotest.(check int) "snappy: literal + 9 header bytes" (n + 9)
+    (Bytes.length snappy);
+  Alcotest.(check bool) "snappy round trip" true
+    (Bytes.equal input (Snappy.decompress snappy));
+  let lz4 = Lz4.compress input in
+  Alcotest.(check int) "lz4: literals-only token" 0xf0 (Bytes.get_uint8 lz4 4);
+  Alcotest.(check bool) "lz4 round trip" true
+    (Bytes.equal input (Lz4.decompress lz4))
+
 let qcheck_snappy =
   QCheck.Test.make ~name:"snappy roundtrip (random)" ~count:150
     QCheck.(pair small_nat (list (int_bound 255)))
@@ -958,6 +983,8 @@ let suite =
       Alcotest.test_case "lz4 bad offset" `Quick test_lz4_bad_offset;
       QCheck_alcotest.to_alcotest qcheck_lz4;
       Alcotest.test_case "snappy basic" `Quick test_snappy_roundtrip_basic;
+      Alcotest.test_case "lz4/snappy literal run over 16 MiB" `Slow
+        test_huge_literal_run;
       Alcotest.test_case "snappy copy forms" `Quick test_snappy_copy_forms;
       Alcotest.test_case "snappy compresses" `Quick test_snappy_compresses_text;
       Alcotest.test_case "snappy hash spec" `Quick test_snappy_hash_matches_spec;
