@@ -148,9 +148,13 @@ let sort_rotations_work block =
    round re-orders by the k-shifted previous order and a stable counting
    sort on the rank — O(n log n), no comparator, no per-element boxing.
    Produces the same permutation as the reference (ties between identical
-   rotations broken by start index). *)
-let sort_rotations block =
-  let n = Bytes.length block in
+   rotations broken by start index).  [sort_rotations_sub] sorts
+   [Bytes.sub block off len] in place; bzip2's production pipeline calls
+   it on each block of its post-RLE1 buffer. *)
+let sort_rotations_sub block ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length block - len then
+    invalid_arg "Bwt.sort_rotations_sub";
+  let n = len in
   if n = 0 then [||]
   else begin
     let perm = Array.make n 0 in
@@ -160,7 +164,7 @@ let sort_rotations block =
     let count = Array.make (max 256 n) 0 in
     (* Round 0: counting sort by first byte; dense byte classes. *)
     for i = 0 to n - 1 do
-      let c = Char.code (Bytes.unsafe_get block i) in
+      let c = Char.code (Bytes.unsafe_get block (off + i)) in
       count.(c) <- count.(c) + 1
     done;
     let acc = ref 0 in
@@ -170,7 +174,7 @@ let sort_rotations block =
       acc := !acc + v
     done;
     for i = 0 to n - 1 do
-      let c = Char.code (Bytes.unsafe_get block i) in
+      let c = Char.code (Bytes.unsafe_get block (off + i)) in
       perm.(count.(c)) <- i;
       count.(c) <- count.(c) + 1
     done;
@@ -178,7 +182,8 @@ let sort_rotations block =
     rank.(perm.(0)) <- 0;
     for i = 1 to n - 1 do
       if
-        Bytes.unsafe_get block perm.(i) <> Bytes.unsafe_get block perm.(i - 1)
+        Bytes.unsafe_get block (off + perm.(i))
+        <> Bytes.unsafe_get block (off + perm.(i - 1))
       then incr classes;
       rank.(perm.(i)) <- !classes - 1
     done;
@@ -246,6 +251,9 @@ let sort_rotations block =
     end;
     perm
   end
+
+let sort_rotations block =
+  sort_rotations_sub block ~off:0 ~len:(Bytes.length block)
 
 let check_perm n perm =
   if Array.length perm <> n then invalid_arg "Bwt: permutation length";

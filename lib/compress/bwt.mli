@@ -3,13 +3,20 @@
     [transform] sorts all cyclic rotations of the input lexicographically
     and returns the last column together with the row index of the
     original string — exactly the object Bzip2's block sort computes.
-    The built-in sorter uses prefix doubling (O(n log² n), no pathological
-    inputs); Bzip2's budgeted [main_sort]/[fallback_sort] live in
-    {!Block_sort} and can be injected through [transform_with]. *)
+    The built-in sorter uses counting-sort prefix doubling (O(n log n), no
+    pathological inputs); Bzip2's budgeted [main_sort]/[fallback_sort]
+    live in {!Block_sort} and can be injected through [transform_with]. *)
 
 val sort_rotations : bytes -> int array
 (** Permutation [p] such that rotation starting at [p.(k)] is the k-th
-    smallest; ties between identical rotations are broken by start index. *)
+    smallest; ties between identical rotations are broken by start index.
+    Counting-sort prefix doubling: no comparisons, no work count. *)
+
+val sort_rotations_sub : bytes -> off:int -> len:int -> int array
+(** {!sort_rotations} of [Bytes.sub block off len] without materializing
+    the slice; the result has length [len].  This is {!Bzip2.compress}'s
+    block sorter.
+    @raise Invalid_argument if the slice is out of bounds. *)
 
 val sort_rotations_work : bytes -> int array * int
 (** Also returns the number of rank comparisons performed — a

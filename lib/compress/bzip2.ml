@@ -163,31 +163,50 @@ let write_block_body w ~primary ~len symbols ~n_syms =
     Huffman.write_symbol w codes.(table) symbols.(k)
   done
 
+(* The two block sorters.  Both return the canonical permutation —
+   rotations in lexicographic order, ties between identical rotations
+   broken by start index — and the BWT, hence every byte after it, is a
+   function of that permutation alone.  So any correct sorter yields the
+   same stream; they differ only in what they cost and report.
+   [work_model_sort] is Section VI's observable: libbzip2's
+   [mainSort]/[fallbackSort] dispatch with its work budget (Fig. 6),
+   replayed comparison by comparison so the work counts are exact.
+   [fast_sort] is the comparison-free counting sort and reports
+   nothing. *)
+let work_model_sort ~budget_factor ~arena ~full_block data ~off ~len =
+  Block_sort.block_sort_sub ~arena ~budget_factor ~full_block data ~off ~len
+
+let fast_sort ~arena:_ ~full_block:_ data ~off ~len =
+  (Bwt.sort_rotations_sub data ~off ~len, ())
+
 (* One post-RLE1 block, read in place from [data.(off .. off + len - 1)].
    All per-stage scratch lives in [arena], which the caller owns for the
    duration of the call; the chain RLE1 slice -> BWT -> MTF -> RLE2 runs
-   with no intermediate [Bytes.sub] or copies. *)
-let compress_block w ~budget_factor ~block_size ~index ~arena data ~off ~len =
+   with no intermediate [Bytes.sub] or copies.  Returns what [sort]
+   reported about the block. *)
+let compress_block w ~sort ~block_size ~index ~arena data ~off ~len =
   Obs.with_span "bzip2.block"
     ~attrs:[ ("index", string_of_int index); ("bytes", string_of_int len) ]
   @@ fun () ->
   Obs.Metrics.incr m_blocks;
   Obs.Metrics.observe h_block_bytes len;
   let full_block = len = block_size in
-  let perm, path =
-    Block_sort.block_sort_sub ~arena ~budget_factor ~full_block data ~off ~len
-  in
+  let perm, report = sort ~arena ~full_block data ~off ~len in
   let last, primary = Bwt.transform_with_sub ~arena ~perm data ~off ~len in
   let mtf = Mtf.encode_sub ~arena last ~off:0 ~len in
   let symbols, n_syms = Rle2.encode_sub ~arena mtf ~len in
   write_block_body w ~primary ~len symbols ~n_syms;
-  { index; length = len; path }
+  report
 
-let compress_with_info ?(block_size = default_block_size)
-    ?(budget_factor = Block_sort.default_budget_factor) ?(jobs = 1) input =
+let check_block_size block_size =
   if block_size < 16 then invalid_arg "Bzip2.compress: block_size too small";
   if block_size > max_block_size then
-    invalid_arg "Bzip2.compress: block_size too large";
+    invalid_arg "Bzip2.compress: block_size too large"
+
+(* The stream and, per block in order, its post-RLE1 length and what
+   [sort] reported. *)
+let compress_blocks ~sort ~block_size ~jobs input =
+  check_block_size block_size;
   Obs.with_span "bzip2.compress"
     ~attrs:[ ("bytes", string_of_int (Bytes.length input)) ]
   @@ fun () ->
@@ -208,39 +227,45 @@ let compress_with_info ?(block_size = default_block_size)
         let off = index * block_size in
         let len = min block_size (n - off) in
         let bw = Bitio.Writer.create () in
-        let info =
+        let report =
           Zipchannel_buf.Arena.with_arena (fun arena ->
-              compress_block bw ~budget_factor ~block_size ~index ~arena data
-                ~off ~len)
+              compress_block bw ~sort ~block_size ~index ~arena data ~off
+                ~len)
         in
-        (bw, info))
+        (bw, (len, report)))
       (Array.init n_blocks (fun i -> i))
   in
-  let infos =
+  let reports =
     Array.fold_left
-      (fun acc (bw, info) ->
+      (fun acc (bw, report) ->
         Bitio.Writer.append w bw;
-        info :: acc)
+        report :: acc)
       [] parts
   in
   Bitio.Writer.add_bits_msb w ~value:end_marker ~count:8;
   let out = Bitio.Writer.to_bytes w in
   Obs.Metrics.add m_bytes_in (Bytes.length input);
   Obs.Metrics.add m_bytes_out (Bytes.length out);
-  (out, List.rev infos)
+  (out, List.rev reports)
 
-let compress ?block_size ?budget_factor ?jobs input =
-  fst (compress_with_info ?block_size ?budget_factor ?jobs input)
+let compress_with_info ?(block_size = default_block_size)
+    ?(budget_factor = Block_sort.default_budget_factor) ?(jobs = 1) input =
+  let out, reports =
+    compress_blocks ~sort:(work_model_sort ~budget_factor) ~block_size ~jobs
+      input
+  in
+  (out, List.mapi (fun index (length, path) -> { index; length; path }) reports)
+
+let compress ?(block_size = default_block_size) ?(jobs = 1) input =
+  fst (compress_blocks ~sort:fast_sort ~block_size ~jobs input)
 
 (* Reference compression path: sequential, one whole-block [Bytes.sub]
    per block, fresh allocations in every stage via the public per-stage
-   APIs.  Not used in production — retained so the differential tests can
-   pin the arena/slice pipeline above to byte-identical output. *)
-let compress_ref ?(block_size = default_block_size)
-    ?(budget_factor = Block_sort.default_budget_factor) input =
-  if block_size < 16 then invalid_arg "Bzip2.compress: block_size too small";
-  if block_size > max_block_size then
-    invalid_arg "Bzip2.compress: block_size too large";
+   APIs, and the work-model sorter.  Not used in production — retained so
+   the differential tests pin the arena/slice pipeline above, and with it
+   the production sorter, to byte-identical output. *)
+let compress_ref ?(block_size = default_block_size) input =
+  check_block_size block_size;
   let data = Rle1.encode input in
   let n = Bytes.length data in
   let w = Bitio.Writer.create () in
@@ -252,7 +277,7 @@ let compress_ref ?(block_size = default_block_size)
     let pos = index * block_size in
     let block = Bytes.sub data pos (min block_size (n - pos)) in
     let full_block = Bytes.length block = block_size in
-    let perm, _ = Block_sort.block_sort ~budget_factor ~full_block block in
+    let perm, _ = Block_sort.block_sort ~full_block block in
     let last, primary = Bwt.transform_with ~perm block in
     let symbols = Rle2.encode (Mtf.encode last) in
     write_block_body w ~primary ~len:(Bytes.length block) symbols

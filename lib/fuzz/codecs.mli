@@ -18,8 +18,9 @@ type t = {
       (** historical API; must raise only [Failure] /
           [Container.Corrupt], never [Out_of_bits] *)
   max_plain : int;
-      (** cap on corpus plaintext size — keeps bzip2 block sorting
-          cheap enough for tens of thousands of cases *)
+      (** cap on corpus plaintext size — bounds the cost of each of
+          tens of thousands of cases; part of what a fixed seed
+          generates *)
 }
 
 val all : t list

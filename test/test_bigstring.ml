@@ -231,6 +231,76 @@ let qcheck_bzip2_matches_ref =
       && Bytes.equal reference (Bzip2.compress ~block_size ~jobs:4 input)
       && Bytes.equal input (Bzip2.decompress reference))
 
+(* The production sorter against the attacker's work model: both must
+   yield the canonical permutation, so the streams must be identical.
+   Inputs span up to 40 blocks (at most 12k bytes), so every block size
+   sees full blocks without tiny ones multiplying the per-block cost.
+   A third of them repeat a unit of 1-3 letters: periodic blocks are
+   where identical rotations need the start-index tie-break. *)
+let qcheck_bzip2_matches_work_model =
+  let letter = QCheck.Gen.oneofl [ 'a'; 'b'; 'c'; 'z' ] in
+  QCheck.Test.make ~name:"Bzip2.compress = fst compress_with_info" ~count:60
+    QCheck.(
+      make
+        ~print:(fun (block_size, jobs, s) ->
+          Printf.sprintf "block_size=%d jobs=%d %S" block_size jobs s)
+        Gen.(
+          oneofl [ 16; 64; 1024; 10_000 ] >>= fun block_size ->
+          let size = 0 -- min 12_000 (40 * block_size) in
+          let periodic =
+            pair (string_size ~gen:letter (1 -- 3)) size >|= fun (unit, n) ->
+            String.init n (fun i -> unit.[i mod String.length unit])
+          in
+          triple (return block_size) (oneofl [ 1; 4 ])
+            (frequency [ (2, string_size ~gen:letter size); (1, periodic) ])))
+    (fun (block_size, jobs, s) ->
+      let input = Bytes.of_string s in
+      Bytes.equal
+        (fst (Bzip2.compress_with_info ~block_size ~jobs input))
+        (Bzip2.compress ~block_size ~jobs input))
+
+(* Full-size blocks of periodic data: every bucket of [main_sort] holds
+   rotations that agree for a whole cycle, so each comparison ends in
+   the start-index tie-break.  Under a generous budget [main_sort]
+   finishes that way; at the default budget the 10k blocks abandon and
+   [fallback_sort] breaks the ties instead.  One repeated byte is
+   periodic after RLE1 too: each 255-byte run becomes "aaaa" plus a
+   count byte. *)
+let test_bzip2_periodic_full_blocks () =
+  let repeat unit k = Bytes.of_string (String.concat "" (List.init k (fun _ -> unit))) in
+  List.iter
+    (fun (name, block_size, input, budget_factor) ->
+      Alcotest.(check int) (name ^ ": one full block") block_size
+        (Bytes.length (Rle1.encode input));
+      let work_model, infos =
+        Bzip2.compress_with_info ~block_size ~budget_factor input
+      in
+      (match infos with
+      | [ { Bzip2.path = { segments = { func = Main_sort; _ } :: _; abandoned }; _ } ]
+        ->
+          Alcotest.(check bool) (name ^ ": main_sort completes")
+            (budget_factor > Block_sort.default_budget_factor)
+            (not abandoned)
+      | _ -> Alcotest.fail (name ^ ": expected one block starting in main_sort"));
+      List.iter
+        (fun jobs ->
+          Alcotest.check bytes_testable
+            (Printf.sprintf "%s jobs=%d" name jobs)
+            work_model
+            (Bzip2.compress ~block_size ~jobs input))
+        [ 1; 4 ];
+      Alcotest.check bytes_testable (name ^ ": round trip") input
+        (Bzip2.decompress work_model))
+    [
+      ("one byte, 20", 20, Bytes.make (4 * 255) 'a', 100_000);
+      ("one byte, 10000", 10_000, Bytes.make (2000 * 255) 'a', 30);
+      ("ab, 16", 16, repeat "ab" 8, 100_000);
+      ("ab, 1024", 1024, repeat "ab" 512, 100_000);
+      ("ab, 10000", 10_000, repeat "ab" 5000, 30);
+      ("abc, 48", 48, repeat "abc" 16, 100_000);
+      ("abc, 9999", 9_999, repeat "abc" 3333, 30);
+    ]
+
 let test_bzip2_matches_ref_corpus () =
   let prng = Prng.create ~seed:0xB16 () in
   let text = Bytes.of_string (Lipsum.repetitive_file prng ~level:4 ~size:30_000) in
@@ -335,6 +405,9 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_bzip2_matches_ref;
       Alcotest.test_case "bzip2 = ref on corpus" `Quick
         test_bzip2_matches_ref_corpus;
+      QCheck_alcotest.to_alcotest qcheck_bzip2_matches_work_model;
+      Alcotest.test_case "bzip2 periodic full blocks" `Quick
+        test_bzip2_periodic_full_blocks;
       Alcotest.test_case "arena slot reuse" `Quick test_arena_slot_reuse;
       Alcotest.test_case "arena nesting + recycle" `Quick
         test_arena_nesting_and_reuse;

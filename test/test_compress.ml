@@ -449,6 +449,37 @@ let test_bzip2_block_info () =
   | { Block_sort.func = Main_sort; _ } :: _ -> ()
   | _ -> Alcotest.fail "full block starts in main sort"
 
+(* Section VI's fingerprint input, pinned: every block's index, length,
+   sort segments with their work, and abandonment, over a fixed corpus.
+   Any change to the work model's control flow or counts moves the
+   digest. *)
+let test_bzip2_block_info_pinned () =
+  let t = Prng.create ~seed:0x5EC6 () in
+  let size = 65_536 in
+  let corpus =
+    List.init 5 (fun l ->
+        Bytes.of_string (Lipsum.repetitive_file t ~level:(l + 1) ~size))
+    @ [ Prng.bytes t size ]
+  in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun input ->
+      List.iter
+        (fun { Bzip2.index; length; path } ->
+          Printf.bprintf buf "%d:%d:" index length;
+          List.iter
+            (fun { Block_sort.func; work } ->
+              Printf.bprintf buf "%s%d,"
+                (match func with Block_sort.Main_sort -> "M" | Fallback_sort -> "F")
+                work)
+            path.Block_sort.segments;
+          Printf.bprintf buf "%b;" path.abandoned)
+        (snd (Bzip2.compress_with_info input));
+      Buffer.add_char buf '\n')
+    corpus;
+  Alcotest.(check string) "block_info digest" "9bf0e8d0761b94cfd135714d7f92cc85"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_bzip2_bad_magic () =
   Alcotest.check_raises "magic" (Failure "Bzip2.decompress: bad magic")
     (fun () -> ignore (Bzip2.decompress (Bytes.of_string "NOPE....")))
@@ -990,4 +1021,6 @@ let suite =
       Alcotest.test_case "snappy hash spec" `Quick test_snappy_hash_matches_spec;
       Alcotest.test_case "snappy bad offset" `Quick test_snappy_bad_offset;
       QCheck_alcotest.to_alcotest qcheck_snappy;
+      Alcotest.test_case "bzip2 block info pinned" `Quick
+        test_bzip2_block_info_pinned;
     ] )

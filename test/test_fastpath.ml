@@ -179,7 +179,11 @@ let bwt_agrees input =
   let ref_perm, ref_work = Bwt.reference_sort_rotations_work b in
   let perm, work = Bwt.sort_rotations_work b in
   let radix_perm = Bwt.sort_rotations b in
+  (* The slice entry must ignore the bytes around its window. *)
+  let framed = Bytes.cat (Bytes.of_string "\255q") (Bytes.cat b (Bytes.of_string "\000")) in
+  let slice_perm = Bwt.sort_rotations_sub framed ~off:2 ~len:(Bytes.length b) in
   perm = ref_perm && work = ref_work && radix_perm = ref_perm
+  && slice_perm = ref_perm
 
 let qcheck_bwt_fast_matches_reference =
   QCheck.Test.make ~name:"fast bwt perm+work = reference" ~count:200
